@@ -83,24 +83,29 @@ class _Reader:
         self.pos = 0
         self.what = what
 
-    def _take(self, size):
-        if self.pos + size > len(self.blob):
+    def skip(self, size):
+        """Claim the next ``size`` bytes; returns their offset."""
+        pos = self.pos
+        if pos + size > len(self.blob):
             raise UnixError(EINVAL, "truncated %s file" % self.what)
-        chunk = self.blob[self.pos:self.pos + size]
-        self.pos += size
-        return chunk
+        self.pos = pos + size
+        return pos
+
+    def u8(self):
+        return self.blob[self.skip(1)]
 
     def u16(self):
-        return _U16.unpack(self._take(2))[0]
+        return _U16.unpack_from(self.blob, self.skip(2))[0]
 
     def i32(self):
-        return _I32.unpack(self._take(4))[0]
+        return _I32.unpack_from(self.blob, self.skip(4))[0]
 
     def u32(self):
-        return _U32.unpack(self._take(4))[0]
+        return _U32.unpack_from(self.blob, self.skip(4))[0]
 
     def raw(self, size):
-        return bytes(self._take(size))
+        pos = self.skip(size)
+        return bytes(self.blob[pos:pos + size])
 
     def string(self):
         return self.raw(self.u16()).decode("latin-1")
@@ -209,7 +214,7 @@ def unpack_chunked_aout(blob):
     if not header.flags & AOUT_FLAG_CHUNKED:
         raise UnixError(ENOEXEC, "a.out is not chunked")
     reader = _Reader(blob, "a.out")
-    reader._take(HEADER_SIZE)
+    reader.skip(HEADER_SIZE)
     text_manifest = ChunkManifest.unpack_from(reader)
     data_manifest = ChunkManifest.unpack_from(reader)
     if text_manifest.length != header.text_size \
@@ -312,7 +317,7 @@ class FilesInfo:
         cwd = reader.string()
         entries = []
         for __ in range(NOFILE):
-            kind = reader.raw(1)[0]
+            kind = reader.u8()
             if kind == FD_FILE:
                 path = reader.string()
                 flags = reader.i32()
@@ -320,7 +325,7 @@ class FilesInfo:
                 entries.append(FdEntry(FD_FILE, path, flags, offset))
             elif kind == FD_SOCKET_BOUND:
                 port = reader.i32()
-                listening = bool(reader.raw(1)[0])
+                listening = bool(reader.u8())
                 entries.append(FdEntry(FD_SOCKET_BOUND, port=port,
                                        listening=listening))
             elif kind in (FD_UNUSED, FD_SOCKET):

@@ -17,6 +17,8 @@ user-level tools depend on are reproduced faithfully:
   ``dumpproc`` must resolve symlinks *before* rewriting path names.
 """
 
+import functools
+
 from repro.errors import (UnixError, ENOENT, ENOTDIR, ELOOP, EACCES,
                           EINVAL)
 from repro.fs.paths import split_components, is_absolute
@@ -27,7 +29,16 @@ MAXSYMLINKS = 8
 #: the conventional mount directory name
 MOUNT_DIR = "n"
 
-_MOUNTDIR = object()  # sentinel position: the virtual /n directory
+
+def _no_charge(op, fs):
+    pass
+
+
+@functools.lru_cache(maxsize=4096)
+def _components(path):
+    """``path``'s components as a tuple, memoized: the same few
+    hundred names are resolved over and over."""
+    return tuple(split_components(path))
 
 
 class ResolvedPath:
@@ -60,7 +71,7 @@ class Namespace:
         """
         self.local_fs = local_fs
         self._remote_roots = remote_roots or {}
-        self._charge = charge or (lambda op, fs: None)
+        self.charge = charge or _no_charge
 
     @property
     def hostname(self):
@@ -87,38 +98,40 @@ class Namespace:
         the *final* component is followed.  With ``want_parent`` the
         final component may be missing; the parent directory and leaf
         name are returned so the caller can create it.
+
+        Only the split of ``path`` into components is memoized; the
+        walk itself — every charged lookup and the ``/n`` server
+        checks — runs on every call.
         """
         if not path:
             raise UnixError(ENOENT, "empty path")
-        components = split_components(path)
-        if is_absolute(path):
-            position = ("fs", self.local_fs, self.local_fs.root)
+        components = _components(path)
+        local_fs = self.local_fs
+        if cwd is None or is_absolute(path):
+            fs, inode = local_fs, local_fs.root
         else:
-            if cwd is None:
-                position = ("fs", self.local_fs, self.local_fs.root)
-            else:
-                position = ("fs", cwd[0], cwd[1])
+            fs, inode = cwd
         if not components:
             # the path was "/" (or ".")
-            fs, inode = position[1], position[2]
             return ResolvedPath(fs, inode, fs, inode.parent or inode, ".")
 
+        charge = self.charge
+        in_mount = False  # inside the virtual /n directory
         nlinks = 0
         parent_fs, parent = None, None
         index = 0
-        while index < len(components):
+        last = len(components) - 1
+        while index <= last:
             name = components[index]
-            is_final = index == len(components) - 1
+            is_final = index == last
+            index += 1
 
-            if position is _MOUNTDIR or (
-                    isinstance(position, tuple) and position[0] == "mnt"):
-                # inside the virtual /n directory
+            if in_mount:
                 if name == ".":
-                    index += 1
                     continue
                 if name == "..":
-                    position = ("fs", self.local_fs, self.local_fs.root)
-                    index += 1
+                    in_mount = False
+                    fs, inode = local_fs, local_fs.root
                     continue
                 remote = self.remote_fs(name)
                 if remote is None:
@@ -126,43 +139,34 @@ class Namespace:
                         raise UnixError(EACCES,
                                         "/n is a mount namespace")
                     raise UnixError(ENOENT, "/n/%s" % name)
-                position = ("fs", remote, remote.root)
+                in_mount = False
+                fs, inode = remote, remote.root
                 parent_fs, parent = remote, remote.root
-                index += 1
                 continue
 
-            __, fs, inode = position
             if not inode.is_dir():
                 raise UnixError(ENOTDIR, name)
 
             if name == "..":
-                if inode is fs.root:
-                    if fs is self.local_fs:
-                        pass  # root's .. is root
-                    else:
-                        position = _MOUNTDIR
-                        index += 1
-                        continue
-                else:
+                if inode is not fs.root:
                     inode = inode.parent
-                position = ("fs", fs, inode)
-                index += 1
+                elif fs is not local_fs:
+                    in_mount = True
+                # else: root's .. is root
                 continue
             if name == ".":
-                index += 1
                 continue
 
             # the /n mount namespace exists only at the *local* root
-            if (name == MOUNT_DIR and fs is self.local_fs
+            if (name == MOUNT_DIR and fs is local_fs
                     and inode is fs.root
                     and MOUNT_DIR not in inode.entries):
                 if is_final and want_parent:
                     raise UnixError(EACCES, "/n is a mount namespace")
-                position = _MOUNTDIR
-                index += 1
+                in_mount = True
                 continue
 
-            self._charge("lookup", fs)
+            charge("lookup", fs)
             try:
                 child = fs.lookup(inode, name)
             except UnixError as err:
@@ -174,34 +178,28 @@ class Namespace:
                 nlinks += 1
                 if nlinks > MAXSYMLINKS:
                     raise UnixError(ELOOP, path)
-                self._charge("readlink", fs)
+                charge("readlink", fs)
                 target = child.target
-                target_components = split_components(target)
-                components = target_components + components[index + 1:]
+                components = _components(target) + components[index:]
                 index = 0
+                last = len(components) - 1
                 if is_absolute(target):
                     # client-side resolution: restart from *our* root
-                    position = ("fs", self.local_fs, self.local_fs.root)
-                else:
-                    position = ("fs", fs, inode)
+                    fs, inode = local_fs, local_fs.root
                 if not components:
                     raise UnixError(ENOENT, "empty symlink target")
                 continue
 
             if is_final:
-                if want_parent:
-                    return ResolvedPath(fs, child, fs, inode, name)
                 return ResolvedPath(fs, child, fs, inode, name)
             parent_fs, parent = fs, inode
-            position = ("fs", fs, child)
-            index += 1
+            inode = child
 
         # components exhausted via trailing "." or ".."
         if want_parent:
             raise UnixError(EINVAL, path)
-        if position is _MOUNTDIR:
+        if in_mount:
             raise UnixError(EACCES, "/n is a mount namespace")
-        __, fs, inode = position
         return ResolvedPath(fs, inode, parent_fs or fs,
                             parent or inode.parent or inode, ".")
 

@@ -40,6 +40,7 @@ from repro.kernel import signals as sig_mod
 from repro.kernel.flow import (WouldBlock, ProcessOverlaid, NullDevice,
                                NULL_DEVICE)
 from repro.kernel.scheduler import Scheduler
+from repro.kernel.syscalls import native_table
 from repro.kernel.sys_file import FileSyscalls
 from repro.kernel.sys_proc import ProcSyscalls
 from repro.kernel.sys_misc import MiscSyscalls
@@ -65,6 +66,8 @@ class Kernel(FileSyscalls, ProcSyscalls, MiscSyscalls, ExecSupport,
         self.procs = ProcTable()
         self.files = FileTable()
         self.scheduler = Scheduler(self)
+        #: native request name -> (handler, accepted request lengths)
+        self.native_calls = native_table(self)
         self.curproc = None
         #: the global flag execve() checks ("indicates that it is
         #: called from within rest_proc()") and the companion variable
@@ -99,15 +102,22 @@ class Kernel(FileSyscalls, ProcSyscalls, MiscSyscalls, ExecSupport,
 
     # -- time accounting ----------------------------------------------------
 
+    # charge() and charge_user() run once or twice per system call, so
+    # they add to the clock directly rather than through Clock.advance
+
     def charge(self, us, proc=None):
         """Charge system CPU time (advances the machine clock)."""
-        self.clock.advance(us)
+        if us < 0:
+            raise ValueError("clock cannot run backwards: %r" % us)
+        self.machine.clock.now_us += us
         proc = proc or self.curproc
         if proc is not None:
             proc.stime_us += us
 
     def charge_user(self, us, proc=None):
-        self.clock.advance(us)
+        if us < 0:
+            raise ValueError("clock cannot run backwards: %r" % us)
+        self.machine.clock.now_us += us
         proc = proc or self.curproc
         if proc is not None:
             proc.utime_us += us
@@ -169,12 +179,12 @@ class Kernel(FileSyscalls, ProcSyscalls, MiscSyscalls, ExecSupport,
         if self._namei_suppress_charge:
             return
         costs = self.costs
-        if op == "lookup":
-            us = costs.namei_component_us if self.fs_is_local(fs) \
-                else costs.nfs_lookup_us
+        if fs.hostname != self.machine.name:
+            us = costs.nfs_lookup_us
+        elif op == "lookup":
+            us = costs.namei_component_us
         else:  # readlink during resolution
-            us = costs.inode_op_us if self.fs_is_local(fs) \
-                else costs.nfs_lookup_us
+            us = costs.inode_op_us
         self.charge(us)
 
     def namei(self, proc, path, follow=True, want_parent=False):

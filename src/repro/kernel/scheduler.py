@@ -13,6 +13,7 @@ from repro.errors import UnixError
 from repro.kernel.constants import SRUN, SSLEEP, SSTOP
 from repro.kernel.flow import WouldBlock, ProcessOverlaid
 from repro.kernel import signals as sig_mod
+from repro.kernel.syscalls import native_request
 from repro.vm.cpu import TrapStop, FaultStop, HaltStop
 from repro.vm import isa
 
@@ -55,7 +56,10 @@ class Scheduler:
             pass
 
     def has_runnable(self):
-        return any(proc.state == SRUN for proc in self.runq)
+        for proc in self.runq:
+            if proc.state == SRUN:
+                return True
+        return False
 
     def _next_runnable(self):
         while self.runq:
@@ -141,7 +145,7 @@ class Scheduler:
                                pid=proc.pid)
         kernel.charge(kernel.costs.context_switch_us, proc=proc)
         try:
-            if not self.check_signals(proc):
+            if proc.user.sig.pending and not self.check_signals(proc):
                 return True
             if proc.is_vm():
                 self._run_vm(proc)
@@ -211,17 +215,19 @@ class Scheduler:
     # -- native processes ------------------------------------------------------------------
 
     def _run_native(self, proc):
-        from repro.kernel.syscalls import native_request
         kernel = self.kernel
+        charge, charge_user = kernel.charge, kernel.charge_user
         costs = kernel.costs
+        step_us, syscall_us = costs.native_step_us, costs.syscall_base_us
+        clock = kernel.machine.clock
         state = proc.image
-        slot_end = kernel.clock.now_us + costs.quantum_us
-        while proc.state == SRUN and kernel.clock.now_us < slot_end:
+        slot_end = clock.now_us + costs.quantum_us
+        while proc.state == SRUN and clock.now_us < slot_end:
             if state.pending_request is not None:
                 request = state.pending_request
                 state.pending_request = None
             else:
-                kernel.charge_user(costs.native_step_us, proc=proc)
+                charge_user(step_us, proc=proc)
                 if not state.started:
                     state.start()
                 try:
@@ -231,8 +237,10 @@ class Scheduler:
                     # binaries had these compiled in, so fetching one
                     # must cost nothing and leave no trace event —
                     # it is resolved here, never dispatched
-                    while (isinstance(request, tuple) and len(request) == 2
+                    while (isinstance(request, tuple) and request
                            and request[0] == "sysctl0"
+                           and len(request) == 2
+                           and isinstance(request[1], str)
                            and request[1] in _SYSCTL0_KNOBS):
                         request = state.generator.send(
                             getattr(costs, request[1]))
@@ -240,7 +248,7 @@ class Scheduler:
                     kernel.do_exit(proc, status=done.value or 0)
                     break
                 state.next_result = None
-            kernel.charge(costs.syscall_base_us, proc=proc)
+            charge(syscall_us, proc=proc)
             try:
                 state.next_result = native_request(kernel, proc, request)
             except UnixError as err:
@@ -256,5 +264,5 @@ class Scheduler:
                 break  # the generator was replaced by a VM image
             if proc.state != SRUN:
                 break
-            if not self.check_signals(proc):
+            if proc.user.sig.pending and not self.check_signals(proc):
                 break

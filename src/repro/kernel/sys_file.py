@@ -371,6 +371,10 @@ class FileSyscalls:
         self.charge(self.costs.inode_op_us)
         return resolved.inode.stat(dev=resolved.fs.hostname)
 
+    def sys_lstat(self, proc, path):
+        """stat() that does not follow a final symbolic link."""
+        return self.sys_stat(proc, path, follow=False)
+
     def sys_fstat(self, proc, fd):
         entry = proc.user.fd_lookup(fd)
         self.charge(self.costs.inode_op_us)

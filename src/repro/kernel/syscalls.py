@@ -13,6 +13,9 @@ Native programs yield ``(name, *args)`` tuples with Python values and
 get Python values back (negative int = errno).
 """
 
+import inspect
+import sys
+
 from repro.errors import UnixError, EINVAL, EFAULT
 from repro.vm.image import SegmentationFault
 
@@ -292,9 +295,9 @@ def vm_syscall(kernel, proc):
 
 # -- native dispatch ------------------------------------------------------------------
 
-#: request names native programs may use, mapped to kernel methods.
-#: Mostly mechanical; a few wrappers adapt convenience shapes.
-_NATIVE_SIMPLE = {
+#: request names native programs may use; each is served by the kernel
+#: method ``sys_<name>`` with the request's remaining items as arguments
+NATIVE_CALLS = frozenset({
     "open", "creat", "close", "read", "write", "lseek", "dup", "dup2",
     "chdir", "getcwd", "unlink", "mkdir", "symlink", "readlink",
     "ioctl", "isatty", "pipe", "exit", "wait", "getpid", "getpid_real",
@@ -302,25 +305,52 @@ _NATIVE_SIMPLE = {
     "kill", "sigvec", "sleep", "time", "gethostname",
     "gethostname_real", "set_oldids", "spawn", "getproctab",
     "proc_cpu_seconds", "socket", "bind", "listen", "accept",
-    "connect", "execve", "rest_proc", "stat", "fstat", "rsh_setup",
-    "daemon_setup", "chmod", "chown", "access", "link", "rename",
-    "read_timeout", "reap", "sysctl", "perf_note", "hb_start",
-    "hb_status", "readdir", "trace_status", "trace_mark",
+    "connect", "execve", "rest_proc", "stat", "lstat", "fstat",
+    "rsh_setup", "daemon_setup", "chmod", "chown", "access", "link",
+    "rename", "read_timeout", "reap", "sysctl", "perf_note",
+    "hb_start", "hb_status", "readdir", "trace_status", "trace_mark",
     "trace_span", "migstat", "vmcache", "statgauges", "critpath",
     "fault_point", "fault_data", "dump_ledger", "store_get",
-}
+})
+
+
+def _request_lengths(handler):
+    """The request lengths ``handler`` accepts: its name plus every
+    argument after ``proc`` that it takes, with or without defaults."""
+    function = inspect.unwrap(handler.__func__)
+    code = function.__code__
+    most = code.co_argcount - 1  # drop self and proc, count the name
+    fewest = most - len(function.__defaults__ or ())
+    if code.co_flags & inspect.CO_VARARGS:
+        return range(fewest, sys.maxsize)
+    return range(fewest, most + 1)
+
+
+def native_table(kernel):
+    """``kernel``'s dispatch table: request name -> (bound handler,
+    accepted request lengths).  Built once per kernel, so a request
+    costs one dict lookup and one range test."""
+    table = {}
+    for name in NATIVE_CALLS:
+        handler = getattr(kernel, "sys_" + name)
+        table[name] = (handler, _request_lengths(handler))
+    return table
 
 
 def native_request(kernel, proc, request):
     """Execute one yielded request from a native program."""
     if not isinstance(request, tuple) or not request:
         raise UnixError(EINVAL, "bad native request %r" % (request,))
-    name, args = request[0], request[1:]
+    name = request[0]
     if kernel.tracer.enabled:
         kernel.tracer.emit("syscall", name, kernel.machine,
                            pid=proc.pid)
-    if name == "lstat":
-        return kernel.sys_stat(proc, args[0], follow=False)
-    if name in _NATIVE_SIMPLE:
-        return getattr(kernel, "sys_" + name)(proc, *args)
-    raise UnixError(EINVAL, "unknown native request %r" % name)
+    try:
+        handler, lengths = kernel.native_calls[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise UnixError(EINVAL,
+                        "unknown native request %r" % (name,)) from None
+    if len(request) not in lengths:
+        raise UnixError(EINVAL, "%s: %d arguments"
+                        % (name, len(request) - 1))
+    return handler(proc, *request[1:])

@@ -68,8 +68,7 @@ class Machine:
         self.namespace = Namespace(
             self.fs,
             remote_roots=lambda host: cluster.exported_fs(host,
-                                                          client=name),
-            charge=lambda op, fs: self.kernel.fs_charge(op, fs))
+                                                          client=name))
         self.terminals = {}
         self.programs = {}  #: native program registry: name -> factory
         self.ports = {}  #: bound sockets by port number
@@ -79,8 +78,13 @@ class Machine:
         #: deterministic tie-break index and the heap-entry token
         self.order = 0
         self.heap_token = 0
-        self.kernel = Kernel(self)
+        self._boot_kernel()
         self.console = self.add_terminal("console")
+
+    def _boot_kernel(self):
+        """Build a fresh kernel and point namei's charge hook at it."""
+        self.kernel = Kernel(self)
+        self.namespace.charge = self.kernel.fs_charge
 
     # -- boot-time filesystem layout ------------------------------------------
 
@@ -276,7 +280,7 @@ class Machine:
             raise ValueError("reboot of a running host %r" % self.name)
         for path in ("/tmp", "/usr/tmp"):
             self._wipe_directory(path)
-        self.kernel = Kernel(self)
+        self._boot_kernel()
         self.clock.advance_to(max(self.clock.now_us,
                                   self.cluster.wall_time_us())
                               + self.costs.boot_s * 1_000_000.0)

@@ -81,7 +81,7 @@ class LoadReport:
         reader = _Reader(blob, "loadreport")
         if reader.u16() != LOADREPORT_MAGIC:
             raise UnixError(EINVAL, "bad loadreport magic")
-        version = reader.raw(1)[0]
+        version = reader.u8()
         if version != LOADREPORT_VERSION:
             raise UnixError(EINVAL,
                             "loadreport version %d" % version)

@@ -119,10 +119,10 @@ class MigRecord:
         reader = _Reader(blob, "migledger")
         if reader.u16() != MIGLEDGER_MAGIC:
             raise UnixError(EINVAL, "bad migledger magic")
-        version = reader.raw(1)[0]
+        version = reader.u8()
         if version != MIGLEDGER_VERSION:
             raise UnixError(EINVAL, "migledger version %d" % version)
-        phase = reader.raw(1)[0]
+        phase = reader.u8()
         if phase not in PHASE_NAMES:
             raise UnixError(EINVAL, "bad ledger phase %d" % phase)
         epoch = reader.u16()

@@ -124,7 +124,7 @@ class StatReport:
         reader = _Reader(blob, "statreport")
         if reader.u16() != STATREPORT_MAGIC:
             raise UnixError(EINVAL, "bad statreport magic")
-        version = reader.raw(1)[0]
+        version = reader.u8()
         if version != STATREPORT_VERSION:
             raise UnixError(EINVAL,
                             "statreport version %d" % version)

@@ -34,7 +34,11 @@ Branch and ``jsr`` targets are written bare (``bra loop``) and encoded
 as absolute addresses; ``jsr (aN)`` gives computed calls.
 """
 
+import functools
 import re
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 from repro.vm import isa
 from repro.vm.isa import Op, Mode
@@ -297,16 +301,16 @@ class _Data:
         return bytes(out)
 
 
-class Assembled:
-    """The output of :func:`assemble`."""
+class Assembled(NamedTuple):
+    """The output of :func:`assemble`: read-only, since one result is
+    shared by every caller assembling the same source."""
 
-    def __init__(self, aout, symbols, text, data, entry, machine_id):
-        self.aout = aout  #: complete a.out file bytes
-        self.symbols = symbols  #: label/equate -> value
-        self.text = text  #: text segment bytes
-        self.data = data  #: data segment bytes
-        self.entry = entry
-        self.machine_id = machine_id
+    aout: bytes  #: complete a.out file bytes
+    symbols: Mapping[str, int]  #: label/equate -> value (read-only)
+    text: bytes  #: text segment bytes
+    data: bytes  #: data segment bytes
+    entry: int
+    machine_id: int
 
 
 def assemble(source, cpu="mc68010", text_base=TEXT_BASE):
@@ -317,7 +321,16 @@ def assemble(source, cpu="mc68010", text_base=TEXT_BASE):
     compile 68020 code "for" a 68010 (you *can* run the resulting
     binary on the wrong machine, which is how the paper's
     heterogeneity crash is reproduced).
+
+    Results are cached on (source, CPU, text base): every machine of
+    a site installs the same guest programs, and each is assembled
+    once per process.
     """
+    return _assemble(source, isa.cpu_model(cpu).name, text_base)
+
+
+@functools.lru_cache(maxsize=256)
+def _assemble(source, cpu, text_base):
     model = isa.cpu_model(cpu)
     items = []  # (section, item)
     labels = []  # (name, section, offset, lineno)
@@ -431,5 +444,5 @@ def assemble(source, cpu="mc68010", text_base=TEXT_BASE):
     entry = symbols.get("start", text_base)
     aout = build_aout(model.machine_id, bytes(text), bytes(data),
                       entry=entry, text_base=text_base)
-    return Assembled(aout, symbols, bytes(text), bytes(data), entry,
-                     model.machine_id)
+    return Assembled(aout, MappingProxyType(symbols), bytes(text),
+                     bytes(data), entry, model.machine_id)
