@@ -48,6 +48,8 @@ FD_SOCKET_BOUND = 3
 _U16 = struct.Struct("<H")
 _I32 = struct.Struct("<i")
 _U32 = struct.Struct("<I")
+#: one digest of a manifest's digest block
+_DIGEST_FORMAT = "%ds" % DIGEST_BYTES
 
 
 class _Writer:
@@ -137,7 +139,7 @@ class ChunkManifest:
         if len(self.digests) != expected:
             raise UnixError(EINVAL, "manifest wants %d chunks, has %d"
                             % (expected, len(self.digests)))
-        if any(len(d) != DIGEST_BYTES for d in self.digests):
+        if set(map(len, self.digests)) - {DIGEST_BYTES}:
             raise UnixError(EINVAL, "bad manifest digest width")
 
     def chunk_size(self, index):
@@ -152,8 +154,7 @@ class ChunkManifest:
         writer.u32(self.chunk_bytes)
         writer.u32(self.length)
         writer.u16(len(self.digests))
-        for digest in self.digests:
-            writer.raw(digest)
+        writer.raw(b"".join(self.digests))
 
     def pack(self):
         writer = _Writer()
@@ -176,8 +177,9 @@ class ChunkManifest:
             raise UnixError(EINVAL,
                             "manifest count %d does not match length %d"
                             % (count, length))
-        digests = [reader.raw(DIGEST_BYTES) for __ in range(count)]
-        return cls(chunk_bytes, length, digests)
+        block = reader.raw(count * DIGEST_BYTES)
+        return cls(chunk_bytes, length,
+                   struct.unpack(_DIGEST_FORMAT * count, block))
 
     @classmethod
     def unpack(cls, blob):

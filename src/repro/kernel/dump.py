@@ -27,10 +27,32 @@ def _baseline_entry(base, manifest):
             "digests": manifest.digests}
 
 
-def lazy_records(manifest, base):
-    """``(start, size, digest)`` triples for copy-on-reference fill."""
-    return [(base + i * manifest.chunk_bytes, manifest.chunk_size(i),
-             digest) for i, digest in enumerate(manifest.digests)]
+def _dirty_chunks(dirty, base, length, chunk_bytes):
+    """Ascending indices of the chunks of region ``[base, base +
+    length)`` that overlap a dirty page.
+
+    Visits only the dirty pages.  A dirty page that straddles a chunk
+    boundary (the region base need not be page aligned: the stack
+    region starts at ``sp``) marks the chunks on both sides.
+    """
+    end = base + length
+    last_page = (end - 1) >> PAGE_SHIFT
+    indices = []
+    page = dirty.find(1, base >> PAGE_SHIFT, last_page + 1)
+    while page >= 0:
+        lo = max(page << PAGE_SHIFT, base) - base
+        hi = min((page + 1) << PAGE_SHIFT, end) - base
+        first = lo // chunk_bytes
+        if indices and indices[-1] >= first:
+            first = indices[-1] + 1
+        last = (hi - 1) // chunk_bytes
+        indices.extend(range(first, last + 1))
+        # the next page that can add a chunk holds the start of the
+        # chunk after the last one taken
+        page = dirty.find(1, max(page + 1,
+                                 (base + (last + 1) * chunk_bytes)
+                                 >> PAGE_SHIFT), last_page + 1)
+    return indices
 
 
 class DumpSupport:
@@ -308,7 +330,9 @@ class DumpSupport:
         from a chunked dump, or dumped once already), chunks whose
         pages are all clean reuse the baseline digest without being
         read, copied, digested or stored — that skip is the entire
-        saving of an incremental re-dump.  It also never materialises
+        saving of an incremental re-dump.  The re-dump starts from the
+        baseline digests and visits only the chunks overlapping a
+        dirty page, in ascending order.  It also never materialises
         chunks still pending copy-on-reference fill: an untouched
         lazy chunk is clean by definition and its digest is already
         in the manifest the restore came from.
@@ -321,27 +345,26 @@ class DumpSupport:
                           * PAGE_BYTES)
         perf = self.machine.cluster.perf
         baseline = (image.chunk_baseline or {}).get(region)
-        reuse = (baseline is not None
-                 and baseline["base"] == base
-                 and baseline["length"] == length
-                 and baseline["chunk_bytes"] == chunk_bytes)
-        dirty = image.dirty_pages
-        digests = []
-        for index in range(-(-length // chunk_bytes)):
+        count = -(-length // chunk_bytes)
+        if (baseline is not None
+                and baseline["base"] == base
+                and baseline["length"] == length
+                and baseline["chunk_bytes"] == chunk_bytes):
+            digests = list(baseline["digests"])
+            indices = _dirty_chunks(image.dirty_pages, base, length,
+                                    chunk_bytes)
+            perf.chunks_clean_skipped += count - len(indices)
+        else:
+            digests = [None] * count
+            indices = range(count)
+        for index in indices:
             start = index * chunk_bytes
             size = min(chunk_bytes, length - start)
-            if reuse:
-                first = (base + start) >> PAGE_SHIFT
-                last = (base + start + size - 1) >> PAGE_SHIFT
-                if not any(dirty[first:last + 1]):
-                    digests.append(baseline["digests"][index])
-                    perf.chunks_clean_skipped += 1
-                    continue
             chunk = image.read_bytes(base + start, size)
             self.charge(costs.copy_byte_us * size, proc=proc)
             digest = store.digest(self, chunk)
             store.put(self, digest, chunk)
-            digests.append(digest)
+            digests[index] = digest
         return ChunkManifest(chunk_bytes, length, digests)
 
     def _build_chunked_aout(self, proc, image):

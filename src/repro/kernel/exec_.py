@@ -125,7 +125,7 @@ class ExecSupport:
         touch, charged at access time instead of here.
         """
         from repro.core.formats import unpack_chunked_aout
-        from repro.kernel.dump import _baseline_entry, lazy_records
+        from repro.kernel.dump import _baseline_entry
         header, text_man, data_man = unpack_chunked_aout(data)
         image = ProcessImage(DEFAULT_MEM_SIZE)
         total = (image.text_base + header.text_size + header.data_size
@@ -142,9 +142,8 @@ class ExecSupport:
         image.write_bytes(image.text_base, text)
         self.charge(self.costs.copy_byte_us * len(text))
         if self.costs.lazy_restart:
-            image.add_lazy_chunks(
-                lazy_records(data_man, image.data_base),
-                fetch=self.chunk_lazy_fetch)
+            image.add_lazy_region(image.data_base, data_man,
+                                  fetch=self.chunk_lazy_fetch)
         else:
             segment = self.fetch_manifest(data_man)
             image.write_bytes(image.data_base, segment)

@@ -159,7 +159,6 @@ class RestProcSupport:
         ``fault_in`` span measures how long the deferred transfer
         trails the (much shorter) freeze window.
         """
-        from repro.kernel.dump import lazy_records
         sp = image.stack_top - manifest.length
         if self.costs.lazy_restart:
             mig = dump_migration_id(aout_path, self.hostname)
@@ -172,7 +171,7 @@ class RestProcSupport:
             # covers the data chunks the chunked exec left pending too:
             # the span closes when the *last* chunk of either region
             # lands (immediately, if nothing is pending at all)
-            image.add_lazy_chunks(lazy_records(manifest, sp),
+            image.add_lazy_region(sp, manifest,
                                   fetch=self.chunk_lazy_fetch,
                                   on_drained=_drained)
         else:

@@ -73,10 +73,16 @@ class CodeCache:
     another lands with its hot traces already compiled, and a
     re-arrival of unchanged text never counts as a
     ``cache_rebuilds``.
+
+    Each text has one pc -> trace table per trace variant: index 0
+    for images with nothing pending, index 1 (the lazy variant, see
+    :func:`~repro.vm.predecode.compile_trace`) for images with chunks
+    still pending copy-on-reference fill.  Both hang off the one key,
+    so the text is hashed once and an arrival counts once.
     """
 
     def __init__(self):
-        self._traces = {}  #: key -> {pc: trace function or INTERP}
+        self._traces = {}  #: key -> ({pc: trace or INTERP}, lazy twin)
 
     def key_for(self, model, image):
         return (model.name, image.text_base, image.mem_size,
@@ -87,14 +93,15 @@ class CodeCache:
         return len(self._traces)
 
     def blocks_for(self, model, image):
-        """The shared pc -> trace map for this image's text; returns
-        ``(blocks, hit)`` where ``hit`` says the text was seen before."""
+        """The shared per-variant trace tables for this image's text;
+        returns ``(tables, hit)`` where ``hit`` says the text was seen
+        before."""
         key = self.key_for(model, image)
-        blocks = self._traces.get(key)
-        if blocks is not None:
-            return blocks, True
-        blocks = self._traces[key] = {}
-        return blocks, False
+        tables = self._traces.get(key)
+        if tables is not None:
+            return tables, True
+        tables = self._traces[key] = ({}, {})
+        return tables, False
 
 
 class CPU:
@@ -136,14 +143,15 @@ class CPU:
                 perf.cache_rebuilds += 1
 
     def _prepare_cache(self, image):
-        """(Re)build an image's decode cache: ``(version, blocks,
-        decoded)`` where ``blocks`` maps pc -> compiled trace (shared
-        between images with byte-identical text) and ``decoded`` is the
-        per-image lazy single-instruction cache for out-of-text pcs."""
-        blocks, hit = self.code_cache.blocks_for(self.model, image)
+        """(Re)build an image's decode cache: ``(version, tables,
+        decoded)`` where ``tables`` holds the two pc -> compiled trace
+        maps (normal and lazy variant, shared between images with
+        byte-identical text) and ``decoded`` is the per-image
+        single-instruction cache of the reference interpreter."""
+        tables, hit = self.code_cache.blocks_for(self.model, image)
         if not hit and self.perf is not None:
             self.perf.cache_rebuilds += 1
-        cache = (image.text_version, blocks, {})
+        cache = (image.text_version, tables, {})
         image._decode_cache = cache
         return cache
 
@@ -215,8 +223,14 @@ class CPU:
         # self-modifying code stays correct
         cache = image._decode_cache
         if cache is None or cache[0] != image.text_version:
-            cache = self._prepare_cache(image)
-        version, blocks, decoded = cache
+            try:
+                cache = self._prepare_cache(image)
+            except SegmentationFault as fault:
+                # hashing the text reads it through image._check, so a
+                # pending chunk sharing its last page faults in here;
+                # a failed fetch is the process's segv, as anywhere
+                return FaultStop(0, "segv", fault.address)
+        version, tables, decoded = cache
         perf = self.perf
         supports = self.model.opcodes.__contains__
         isize = isa.INSTRUCTION_SIZE
@@ -227,18 +241,25 @@ class CPU:
         # Compiled traces cover the common case; anything they cannot
         # prove safe bails *before mutating state* so the reference
         # interpreter below replays it with exact legacy semantics.
-        # While copy-on-reference chunks are pending the interpreter
-        # runs alone: it routes every access through image._check,
-        # which is where the pending chunks fault in.
-        use_blocks = self.use_predecode and image._lazy is None
+        # While copy-on-reference chunks are pending, the lazy variant
+        # runs: it also bails on any access touching a pending page
+        # (lp), and the interpreter faults the chunk in through
+        # image._check.
+        lp = image._lazy_pages
+        blocks = tables[lp is not None]
+        use_blocks = self.use_predecode
         try:
             while executed < max_instructions:
                 pc = regs.pc
                 if use_blocks:
+                    if lp is not None and image._lazy is None:
+                        # the interpreter just landed the last chunk
+                        lp = None
+                        blocks = tables[0]
                     block = blocks.get(pc)
                     if block is None:
                         block, ndecoded, nlinked = compile_trace(
-                            self.model, image, pc)
+                            self.model, image, pc, lp is not None)
                         blocks[pc] = block
                         if perf is not None and ndecoded:
                             perf.blocks_compiled += block.blocks
@@ -246,7 +267,7 @@ class CPU:
                             perf.traces_linked += nlinked
                     if block is not INTERP:
                         n, npc, zf, nf, sig = block(
-                            d, a, mem, dp, max_instructions - executed,
+                            d, a, mem, dp, lp, max_instructions - executed,
                             regs.zf, regs.nf)
                         executed += n
                         regs.pc = npc

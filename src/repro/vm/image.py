@@ -127,6 +127,30 @@ class Registers:
                 % (self.pc, self.sp, self.d))
 
 
+class _PendingRegion:
+    """One registered manifest's chunks and which are still pending."""
+
+    __slots__ = ("base", "chunk_bytes", "length", "digests", "pending",
+                 "remaining")
+
+    def __init__(self, base, chunk_bytes, length, digests):
+        self.base = base
+        self.chunk_bytes = chunk_bytes
+        self.length = length
+        self.digests = digests
+        self.pending = bytearray(b"\x01" * len(digests))
+        self.remaining = len(digests)
+
+    def span(self, lo, hi):
+        """``(first, end)`` indices of the chunks overlapping bytes
+        ``[lo, hi)``; empty (``first >= end``) when none do."""
+        lo = max(lo, self.base) - self.base
+        hi = min(hi, self.base + self.length) - self.base
+        if lo >= hi:
+            return 0, 0
+        return lo // self.chunk_bytes, (hi - 1) // self.chunk_bytes + 1
+
+
 class ProcessImage:
     """Memory plus registers for one VM process."""
 
@@ -156,15 +180,14 @@ class ProcessImage:
         #: these digests for chunks whose pages stayed clean.
         self.chunk_baseline = None
         # -- copy-on-reference state (lazy restart) -----------------
-        # pending chunks not yet faulted in: chunk id -> (start, size,
-        # digest); a page -> {chunk ids} map routes the first touch of
-        # any page to the chunks overlapping it.  _lazy is None when
-        # nothing is pending — the common case every access checks.
+        # _lazy: the registered regions still holding pending chunks
+        # (None when nothing is pending, the common case every access
+        # checks); _lazy_pages: one byte per page, set while any
+        # pending chunk overlaps the page (compiled traces read it)
         self._lazy = None
         self._lazy_pages = None
         self._lazy_fetch = None
         self._lazy_drained = None
-        self._lazy_next_id = 0
 
     @property
     def mem_size(self):
@@ -234,11 +257,9 @@ class ProcessImage:
     def read_cstring(self, address, limit=4096):
         """Read a NUL-terminated string from guest memory."""
         end = address
-        lazy = self._lazy is not None
         while end < len(self.mem) and end - address < limit:
-            if lazy:
+            if self._lazy is not None:
                 self._lazy_touch(end, 1)
-                lazy = self._lazy is not None
             if self.mem[end] == 0:
                 return bytes(self.mem[address:end]).decode(
                     "latin-1")
@@ -247,8 +268,7 @@ class ProcessImage:
 
     def clear_dirty(self):
         """Reset dirty tracking (after a restore installs a baseline)."""
-        for i in range(len(self.dirty_pages)):
-            self.dirty_pages[i] = 0
+        self.dirty_pages[:] = bytes(len(self.dirty_pages))
 
     def write_cstring(self, address, text):
         data = text.encode("latin-1") + b"\x00"
@@ -257,73 +277,77 @@ class ProcessImage:
 
     # -- copy-on-reference (lazy restart) ---------------------------------
 
-    def add_lazy_chunks(self, records, fetch=None, on_drained=None):
-        """Register pending copy-on-reference chunks.
+    def add_lazy_region(self, base, manifest, fetch=None, on_drained=None):
+        """Register a manifest's chunks as pending copy-on-reference.
 
-        ``records`` is an iterable of ``(start, size, digest)``; the
-        bytes stay un-materialised until the first access of any page
-        a chunk overlaps, at which point ``fetch(digest, size)`` is
-        called (charging whatever it charges *at access time*) and the
-        chunk is filled in.  ``on_drained`` fires when the last
-        pending chunk lands.  While anything is pending the CPU stays
-        on the interpreter (which routes every access through
-        :meth:`_check`); predecoded blocks resume once drained.
+        Chunk ``i`` covers ``base + i * manifest.chunk_bytes`` for
+        ``manifest.chunk_size(i)`` bytes.  The bytes stay
+        un-materialised until the first access of any page a chunk
+        overlaps; then ``fetch(digest, size)`` is called (charging
+        whatever it charges *at access time*) and the chunk is filled
+        in.  Chunks fill in registration order, then index order.
+        ``on_drained`` fires when the last pending chunk lands
+        (immediately, if nothing is pending at all).
+
+        Registration drops the decode cache.  Rebuilding it hashes the
+        text through :meth:`_check`, which faults in any chunk sharing
+        a text page, so no text page is pending while compiled traces
+        run and they need no instruction-fetch checks.
         """
+        self.invalidate_decode_cache()
         if fetch is not None:
             self._lazy_fetch = fetch
         if on_drained is not None:
             self._lazy_drained = on_drained
-        for start, size, digest in records:
-            if size <= 0:
-                continue
+        count = len(manifest.digests)
+        if count:
+            region = _PendingRegion(base, manifest.chunk_bytes,
+                                    manifest.length, manifest.digests)
             if self._lazy is None:
-                self._lazy = {}
-                self._lazy_pages = {}
-            cid = self._lazy_next_id
-            self._lazy_next_id += 1
-            self._lazy[cid] = (start, size, digest)
-            for page in range(start >> PAGE_SHIFT,
-                              ((start + size - 1) >> PAGE_SHIFT) + 1):
-                self._lazy_pages.setdefault(page, set()).add(cid)
-        if self._lazy is None and self._lazy_drained is not None:
+                self._lazy = []
+                self._lazy_pages = bytearray(len(self.dirty_pages))
+            self._lazy.append(region)
+            pages = self._lazy_pages
+            first = base >> PAGE_SHIFT
+            last = min((base + manifest.length - 1) >> PAGE_SHIFT,
+                       len(pages) - 1)
+            pages[first:last + 1] = b"\x01" * (last - first + 1)
+        elif self._lazy is None and self._lazy_drained is not None:
             callback = self._lazy_drained
             self._lazy_drained = None
             callback()
 
     def _lazy_touch(self, address, nbytes):
-        """Fault in every pending chunk the access overlaps."""
+        """Fault in every pending chunk overlapping the pages of the
+        access, in registration order, then index order."""
+        pages = self._lazy_pages
+        first = address >> PAGE_SHIFT
         last = (address + max(nbytes, 1) - 1) >> PAGE_SHIFT
-        page = address >> PAGE_SHIFT
-        hit = set()
-        while page <= last and self._lazy_pages is not None:
-            cids = self._lazy_pages.get(page)
-            if cids:
-                hit.update(cids)
-            page += 1
-        for cid in sorted(hit):
-            self._lazy_fill(cid)
-
-    def _lazy_fill(self, cid):
-        record = self._lazy.pop(cid, None) if self._lazy else None
-        if record is None:
+        if pages.find(1, first, last + 1) < 0:
             return
-        start, size, digest = record
-        for page in range(start >> PAGE_SHIFT,
-                          ((start + size - 1) >> PAGE_SHIFT) + 1):
-            cids = self._lazy_pages.get(page)
-            if cids:
-                cids.discard(cid)
-                if not cids:
-                    del self._lazy_pages[page]
+        lo = first << PAGE_SHIFT
+        hi = (last + 1) << PAGE_SHIFT
+        hits = [(region, index) for region in self._lazy
+                for index in range(*region.span(lo, hi))
+                if region.pending[index]]
+        for region, index in hits:
+            self._lazy_fill(region, index)
+
+    def _lazy_fill(self, region, index):
+        """Fetch one pending chunk; it stays pending unless it lands."""
+        start = region.base + index * region.chunk_bytes
+        size = min(region.chunk_bytes, region.length - index
+                   * region.chunk_bytes)
         try:
-            blob = self._lazy_fetch(digest, size)
+            blob = self._lazy_fetch(region.digests[index], size)
         except SegmentationFault:
             raise
         except Exception as err:
             # a missing/corrupt/unreachable chunk at access time is a
             # demand-paging failure: the process takes SIGSEGV (or the
             # syscall doing the copy fails with EFAULT), exactly like
-            # a real pager losing its backing store
+            # a real pager losing its backing store; the next touch
+            # fetches again
             raise SegmentationFault(
                 start, "copy-on-reference fetch failed") from err
         if len(blob) != size:
@@ -331,6 +355,10 @@ class ProcessImage:
         # direct fill: not a guest store, so no dirty mark and no
         # text_version bump
         self.mem[start:start + size] = blob
+        region.pending[index] = 0
+        region.remaining -= 1
+        if not region.remaining:
+            self._lazy.remove(region)
         if not self._lazy:
             self._lazy = None
             self._lazy_pages = None
@@ -338,11 +366,21 @@ class ProcessImage:
             self._lazy_drained = None
             if callback is not None:
                 callback()
+            return
+        # a page stays pending while any other chunk still overlaps it
+        pages = self._lazy_pages
+        for page in range(start >> PAGE_SHIFT,
+                          ((start + size - 1) >> PAGE_SHIFT) + 1):
+            lo = page << PAGE_SHIFT
+            if not any(other.pending.find(1, *other.span(lo, lo + PAGE_BYTES))
+                       >= 0 for other in self._lazy):
+                pages[page] = 0
 
     def drain_lazy(self):
         """Fault in everything still pending (fork, explicit flush)."""
         while self._lazy:
-            self._lazy_fill(min(self._lazy))
+            region = self._lazy[0]
+            self._lazy_fill(region, region.pending.find(1))
 
     # -- decode-cache interface ------------------------------------------
 

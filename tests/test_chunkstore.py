@@ -151,9 +151,9 @@ def test_image_lazy_chunks_fault_in_on_touch():
         return digest * (size // len(digest))
 
     drained = []
-    image.add_lazy_chunks(
-        [(base, PAGE_BYTES, b"A" * 8), (base + PAGE_BYTES, PAGE_BYTES,
-                                        b"B" * 8)],
+    image.add_lazy_region(
+        base, ChunkManifest(PAGE_BYTES, 2 * PAGE_BYTES,
+                            [b"A" * 8, b"B" * 8]),
         fetch=fetch, on_drained=lambda: drained.append(True))
     assert image._lazy is not None and not fetched
     # touching the second page pulls only its chunk
@@ -173,15 +173,74 @@ def test_image_lazy_fetch_failure_is_a_segfault():
     def fetch(digest, size):
         raise UnixError(5, "gone")
 
-    image.add_lazy_chunks([(base, 64, b"x" * 8)], fetch=fetch)
+    image.add_lazy_region(base, ChunkManifest(64, 64, [b"x" * 8]),
+                          fetch=fetch)
     with pytest.raises(SegmentationFault):
         image.read_u8(base)
+
+
+def test_image_failed_fetch_keeps_the_chunk_pending():
+    """A failed copy-on-reference fetch must not drop the chunk: the
+    next touch fetches again and sees the real bytes, never zeros, and
+    the image drains (its fault-in span can close)."""
+    image = ProcessImage()
+    base = image.data_base
+    calls = []
+
+    def fetch(digest, size):
+        calls.append(digest)
+        if len(calls) == 1:
+            raise UnixError(5, "holder down")
+        return b"\x5a" * size
+
+    drained = []
+    image.add_lazy_region(base, ChunkManifest(64, 64, [b"x" * 8]),
+                          fetch=fetch,
+                          on_drained=lambda: drained.append(True))
+    with pytest.raises(SegmentationFault):
+        image.read_u8(base)
+    assert image._lazy is not None and not drained
+    assert image.read_u8(base) == 0x5A
+    assert calls == [b"x" * 8, b"x" * 8]
+    assert image._lazy is None and drained == [True]
+
+
+def test_failed_fetch_under_a_syscall_buffer_refetches():
+    """The same through a live process: a ``write`` whose buffer sits
+    in a chunk whose fetch fails returns EFAULT, and the retried
+    ``write`` fetches the chunk again and writes its real bytes."""
+    from repro.errors import EFAULT
+    from repro.kernel.syscalls import NR, vm_syscall
+    site = _incremental_site("fast")
+    handle = start_counter(site)
+    kernel = site.machine("brick").kernel
+    image = handle.proc.image.image
+    buf = (image.brk + 2 * PAGE_BYTES) & ~(PAGE_BYTES - 1)
+    calls = []
+
+    def fetch(digest, size):
+        calls.append(digest)
+        if len(calls) == 1:
+            raise UnixError(5, "holder down")
+        return b"lazy-bytes!".ljust(size, b".")
+
+    image.add_lazy_region(buf, ChunkManifest(64, 64, [b"w" * 8]),
+                          fetch=fetch)
+    image.regs.d[:4] = [NR["write"], 1, buf, 11]
+    with pytest.raises(UnixError) as err:
+        vm_syscall(kernel, handle.proc)
+    assert err.value.errno == EFAULT
+    assert "lazy-bytes" not in site.console("brick")
+    image.regs.d[:4] = [NR["write"], 1, buf, 11]
+    assert vm_syscall(kernel, handle.proc) == 11
+    assert calls == [b"w" * 8, b"w" * 8]
+    assert "lazy-bytes!" in site.console("brick")
 
 
 def test_image_copy_drains_pending_chunks():
     image = ProcessImage()
     base = image.data_base
-    image.add_lazy_chunks([(base, 16, b"y" * 8)],
+    image.add_lazy_region(base, ChunkManifest(16, 16, [b"y" * 8]),
                           fetch=lambda d, n: b"z" * n)
     clone = image.copy()
     assert clone._lazy is None and image._lazy is None
@@ -344,3 +403,89 @@ def test_defaults_keep_chunk_machinery_cold():
     assert perf.chunk_puts == perf.chunk_gets == 0
     assert perf.chunk_bytes_written == perf.lazy_faults == 0
     assert len(site.cluster.chunk_store) == 0
+
+
+# -- re-dumps visit only dirty chunks ----------------------------------------
+
+
+def _chunk_region_case(rng, site, chunk_pages, base, length, dirty):
+    """Run ``_chunk_region`` over an image whose baseline matches,
+    with ``dirty`` pages rewritten; returns (manifest, reread chunk
+    indices, chunks_clean_skipped delta) plus the brute-force
+    expectations."""
+    kernel = site.machine("brick").kernel
+    chunk_bytes = chunk_pages * PAGE_BYTES
+    kernel.costs = kernel.costs.with_overrides(dump_chunk_bytes=chunk_bytes)
+    image = ProcessImage()
+    image.mem[:] = rng.randbytes(len(image.mem))
+    count = -(-length // chunk_bytes)
+    spans = [(base + i * chunk_bytes,
+              min(chunk_bytes, length - i * chunk_bytes))
+             for i in range(count)]
+    image.chunk_baseline = {"stack": {
+        "base": base, "length": length, "chunk_bytes": chunk_bytes,
+        "digests": tuple(chunk_digest(image.mem[s:s + n])
+                         for s, n in spans)}}
+    for page in dirty:
+        image.write_u8((page << 10) + rng.randrange(PAGE_BYTES),
+                       rng.getrandbits(8))
+    # brute force: every chunk touching a dirty page is re-read
+    dirty_pages = image.dirty_pages
+    expect_reread = [i for i, (s, n) in enumerate(spans)
+                     if any(dirty_pages[s >> 10:((s + n - 1) >> 10) + 1])]
+    expect = ChunkManifest(chunk_bytes, length,
+                           [chunk_digest(image.mem[s:s + n])
+                            for s, n in spans])
+    reads = []
+    read_bytes = image.read_bytes
+
+    def spy(address, nbytes):
+        reads.append((address - base) // chunk_bytes)
+        return read_bytes(address, nbytes)
+    image.read_bytes = spy
+    perf = site.cluster.perf
+    skipped = perf.chunks_clean_skipped
+    manifest = kernel._chunk_region(None, image, "stack", base, length)
+    return ((manifest, reads, perf.chunks_clean_skipped - skipped),
+            (expect, expect_reread, count - len(expect_reread)))
+
+
+@pytest.mark.parametrize("layout", ["stack", "data", "aligned"])
+def test_chunk_region_matches_brute_force(layout):
+    """Random dirty sets on a stack-like region (unaligned base), a
+    data-like one (unaligned base and end) and an aligned one: the
+    manifest, the chunks re-read (in ascending order) and
+    ``chunks_clean_skipped`` equal a brute-force walk of every chunk."""
+    rng = random.Random(layout)
+    site = _incremental_site("fast")
+    top = ProcessImage().stack_top
+    for __ in range(25):
+        chunk_pages = rng.choice([1, 2, 3])
+        length = rng.randrange(1, 40 * PAGE_BYTES)
+        if layout == "aligned":
+            length -= length % PAGE_BYTES
+            length = max(length, PAGE_BYTES)
+            base = rng.randrange(8, top // PAGE_BYTES
+                                 - length // PAGE_BYTES) * PAGE_BYTES
+        elif layout == "data":
+            base = rng.randrange(8 * PAGE_BYTES, top - length)
+        else:
+            base = top - length  # a stack region starts at sp
+        pages = range(base >> 10, ((base + length - 1) >> 10) + 1)
+        dirty = rng.sample(pages, rng.randrange(0, min(6, len(pages)) + 1))
+        got, want = _chunk_region_case(rng, site, chunk_pages, base,
+                                       length, dirty)
+        assert got == want, (chunk_pages, base, length, sorted(dirty))
+
+
+def test_dirty_page_straddling_two_chunks_rereads_both():
+    rng = random.Random(7)
+    site = _incremental_site("fast")
+    # 1 KB chunks on a base 724 bytes into its page: every page holds
+    # the end of one chunk and the start of the next
+    base = ProcessImage().stack_top - 10 * PAGE_BYTES - 300
+    page = (base + 3 * PAGE_BYTES) >> 10  # ends chunk 2, starts chunk 3
+    (manifest, reads, skipped), want = _chunk_region_case(
+        rng, site, 1, base, 10 * PAGE_BYTES + 300, [page])
+    assert reads == [2, 3] and skipped == 9
+    assert (manifest, reads, skipped) == want
