@@ -1,14 +1,17 @@
 """VM microbenchmarks: the trace compiler against the interpreter.
 
-Three guest workloads stress the three things the trace compiler
-optimizes, at the CPU level with no kernel in the way:
+Four guest workloads stress what the trace compiler optimizes, at
+the CPU level with no kernel in the way:
 
 * ``tight_loop``   — branchy integer arithmetic in registers (block
   linking and in-trace register caching);
 * ``call_heavy``   — a jsr/rts leaf call per iteration (static call
   linking, stack traffic);
 * ``mem_stream``   — streaming stores and loads through memory
-  (guarded indirect access, dirty-page tracking).
+  (guarded indirect access, dirty-page tracking);
+* ``split_loop``   — a loop whose body branches mid-way into a
+  ``cmp``/``blt`` tail block, shaped like ``cpuhog`` (loop arms and
+  tail duplication).
 
 Each guest runs twice — interpreter (``use_predecode=False``) and
 trace engine — in 5000-instruction chunks like a kernel quantum, and
@@ -91,10 +94,33 @@ rd:     move  (a1), d4
 buf:    .space 256
 """
 
+SPLIT_LOOP = """
+start:  move  #0, d7
+        move  #0, d6
+        move  #0, d4
+loop:   add   #1, d7
+        move  d7, d5
+        mul   #7, d5
+        add   #3, d5
+        mod   #123, d5
+        add   d5, d6
+        move  d7, d5
+        mod   #64, d5
+        tst   d5
+        bne   next
+        jsr   tick
+next:   cmp   #%(iters)d, d7
+        blt   loop
+        trap
+tick:   add   #1, d4
+        rts
+"""
+
 WORKLOADS = [
     ("tight_loop", TIGHT_LOOP, 30_000),
     ("call_heavy", CALL_HEAVY, 20_000),
     ("mem_stream", MEM_STREAM, 500),
+    ("split_loop", SPLIT_LOOP, 30_000),
 ]
 
 

@@ -10,14 +10,25 @@ Python function.  A trace function has the signature::
     trace(d, a, mem, dp, lp, budget, zf, nf)
         -> (executed, next_pc, zf, nf, sig)
 
-Three things make traces fast:
+Four things make traces fast:
 
 * **Block linking.**  A block that ends in a branch, ``jsr`` or
   fall-through whose target is another member block transfers control
-  *inside* the generated function (``_pc = <head>; continue`` into a
-  small dispatch loop) instead of returning to ``CPU._run``'s dict
-  lookup.  A hot loop therefore executes entirely inside one Python
-  frame.
+  *inside* the generated function (``_pc = <head>`` into a small
+  dispatch loop of ``if _pc == …`` arms) instead of returning to
+  ``CPU._run``'s dict lookup.
+* **Loop arms and tail duplication.**  A member block whose own arm
+  transfers back to its head runs as an inner ``while 1:`` inside that
+  arm: the back edge is ``_n += k; continue`` and never walks the
+  dispatch chain; every other linked transfer from the arm is
+  ``_pc = X; break``.  A transfer to a small member block that is not
+  a loop head (at most :data:`TAIL_DUP_MAX` instructions) inlines a
+  copy of that block, one level deep, at the transfer site, so a loop
+  split across a mid-body branch (``bne next`` … ``next: cmp; blt
+  loop``) still closes inside one arm.  The copy keeps the block's own
+  head budget guard, so every ``(executed, next_pc, zf, nf, sig)`` a
+  trace returns, at every budget, is the one the flat dispatch loop
+  would return.
 * **In-trace register caching.**  Every ``d``/``a`` register the trace
   touches lives in a Python local (``rd0`` … ``ra7``) loaded once in
   the prologue; the registers the trace *writes* are spilled back to
@@ -31,6 +42,11 @@ Three things make traces fast:
   with zero progress and the reference interpreter single-steps the
   quantum tail — at most ``MAX_BLOCK_LEN - 1`` instructions — with
   exact legacy semantics.
+
+Registers and memory words always hold signed 32-bit values, so adding
+or subtracting a constant can overflow on one side only: ``add``,
+``sub`` and ``cmp`` with an immediate operand emit a single one-sided
+wrap test (none at all for ``#0``).
 
 ``dp`` is the image's per-page dirty bitmap: every memory store marks
 the page(s) it touches, exactly as the interpreter's ``write_u8`` /
@@ -93,6 +109,8 @@ SIG_BAIL = 3  #: instruction at next_pc needs the interpreter (untouched)
 MAX_BLOCK_LEN = 64
 #: most blocks linked into one trace function
 TRACE_MAX_BLOCKS = 8
+#: longest member block a transfer inlines a copy of (tail duplication)
+TAIL_DUP_MAX = 16
 
 #: byte-compiled trace sources, keyed on the generated source: every
 #: cluster built in one process compiles the same texts to the same
@@ -108,9 +126,6 @@ _ALU = {Op.ADD: "+", Op.SUB: "-", Op.MUL: "*", Op.MULL: "*",
 
 _COND = {Op.BEQ: "zf", Op.BNE: "not zf", Op.BLT: "nf",
          Op.BLE: "nf or zf", Op.BGT: "not (nf or zf)", Op.BGE: "not nf"}
-
-_WRAP = ("if %(v)s > 2147483647 or %(v)s < -2147483648: "
-         "%(v)s = ((%(v)s & 4294967295) ^ 2147483648) - 2147483648")
 
 #: modes whose jump target is a compile-time constant
 _STATIC = (Mode.IMM, Mode.ABS)
@@ -132,21 +147,29 @@ class _Ctx:
     """Compile context: layout constants, register mapping and exits.
 
     With ``dmap``/``amap`` unset the context is in *probe* mode —
-    register references emit plain ``d[i]``/``a[i]`` subscripts — but
-    either way every reference is recorded in the ``dused``/``aused``
-    (and ``dwritten``/``awritten``) sets, so a probe pass over a block
+    register references emit plain ``d[i]``/``a[i]`` subscripts, and
+    with no ``members`` every transfer is an exit — but either way
+    every reference is recorded in the ``dused``/``aused`` (and
+    ``dwritten``/``awritten``) sets, so a probe pass over a block
     discovers exactly the registers the final pass will touch.
     """
 
     def __init__(self, text_end, mem_size, dmap=None, amap=None,
-                 heads=frozenset(), spill="", lazy=False):
+                 spill="", lazy=False, entry=None, members=None,
+                 loop_heads=frozenset()):
         self.text_end = text_end
         self.mem_size = mem_size
         self.lazy = lazy  #: emit the pending-page checks?
         self.dmap = dmap  #: reg -> local name, or None (probe mode)
         self.amap = amap
-        self.heads = heads  #: pcs dispatchable inside this trace
         self.spill = spill  #: "d[0] = rd0; ..." prefix for every exit
+        self.entry = entry  #: the trace's root pc
+        self.members = members or {}  #: pc -> _BlockIR of this trace
+        self.loop_heads = loop_heads  #: member pcs never inlined
+        self.arm = None  #: head pc of the dispatch arm being emitted
+        self.loop = False  #: does that arm run as an inner while loop?
+        self.inline = False  #: may a transfer inline its target here?
+        self.dispatched = []  #: member pcs the arm's transfers dispatch
         self.n = 0  #: index of the instruction within its block
         self.pc = 0  #: its program counter
         self.flags_live = True  #: emit this instruction's flag writes?
@@ -218,11 +241,43 @@ class _Ctx:
                                                     target)
 
     def transfer(self, count, static, expr):
-        """One-line control transfer after ``count`` instructions of
-        this block: a linked jump into a member block, or an exit."""
-        if static is not None and static in self.heads:
-            return "_n += %d; _pc = %d; continue" % (count, static)
-        return self.exit(count, expr)
+        """Lines for the control transfer after ``count`` instructions
+        of this block: the loop arm's back edge, an inlined copy of a
+        small member block, a jump through the dispatch loop to any
+        other member block, or an exit."""
+        if static not in self.members:
+            return [self.exit(count, expr)]
+        if static == self.arm and self.loop:
+            return ["_n += %d; continue" % count]
+        if self.inline and _inlinable(self.members, self.loop_heads,
+                                      self.arm, static):
+            saved = self.n, self.pc, self.flags_live
+            self.inline = False  # one level deep
+            lines = ["_n += %d" % count] + self.block(self.members[static])
+            self.inline = True
+            self.n, self.pc, self.flags_live = saved
+            return lines
+        self.dispatched.append(static)
+        return ["_n += %d; _pc = %d; %s" % (
+            count, static, "break" if self.loop else "continue")]
+
+    def block(self, ir):
+        """Lines for member block ``ir``: its head budget guard (re-
+        reaching the entry with zero progress bails, so the interpreter
+        runs the quantum tail), its instructions and, unless it ends in
+        a terminator, its fall-through transfer."""
+        sig = "(0 if _n else 3)" if ir.pc == self.entry else "0"
+        lines = ["if budget - _n < %d: %sreturn _n, %d, zf, nf, %s"
+                 % (len(ir.insts), self.spill, ir.pc, sig)]
+        live = _flag_liveness(ir.insts, self.lazy)
+        for i, (pc, inst) in enumerate(ir.insts):
+            self.n, self.pc = i, pc
+            self.flags_live = live[i]
+            _emit_instruction(lines, self, inst)
+        if not ir.terminated:
+            lines.extend(self.transfer(len(ir.insts), ir.end_pc,
+                                       "%d" % ir.end_pc))
+        return lines
 
 
 def _emit_value(lines, ctx, mode, operand, var, byte=False):
@@ -355,6 +410,28 @@ def _target_expr(ctx, mode, operand):
     raise _Uncompilable  # _address would segv; interpreter's job
 
 
+def _wrap(var, delta=None):
+    """Lines folding ``var`` back into signed 32 bits.  ``delta`` is a
+    compile-time constant just added to a signed 32-bit value: the sum
+    can then leave the range on one side only (and not at all for 0)."""
+    if delta is None:
+        return ["if %s > 2147483647 or %s < -2147483648: %s = ((%s & "
+                "4294967295) ^ 2147483648) - 2147483648" % ((var,) * 4)]
+    if delta > 0:
+        return ["if %s > 2147483647: %s -= 4294967296" % (var, var)]
+    if delta < 0:
+        return ["if %s < -2147483648: %s += 4294967296" % (var, var)]
+    return []
+
+
+def _delta(opcode, sm, s):
+    """The constant an ``add``/``sub`` adds to its destination, when
+    the source is an immediate (else None: the sum is unbounded)."""
+    if sm != Mode.IMM or opcode not in (Op.ADD, Op.SUB):
+        return None
+    return s if opcode == Op.ADD else -s
+
+
 def _alu_out(ctx, dm, dv):
     """Result variable for an arithmetic op: the destination register
     local itself when the destination is a register (skipping the v2
@@ -413,7 +490,7 @@ def _emit_instruction(lines, ctx, inst):
             return False
         lines.append("v = %s" % _target_expr(ctx, sm, s))
         if sm == Mode.IND_DISP:  # the only mode that can overflow
-            lines.append(_WRAP % {"v": "v"})
+            lines.extend(_wrap("v"))
         lines.append("%s = v" % ctx.al(dv))
         return False
 
@@ -426,7 +503,7 @@ def _emit_instruction(lines, ctx, inst):
                          % (out, dst, _ALU[opcode], src))
         else:
             lines.append("%s = %s %s %s" % (out, dst, _ALU[opcode], src))
-        lines.append(_WRAP % {"v": out})
+        lines.extend(_wrap(out, _delta(opcode, sm, s)))
         if not direct:
             _emit_store(lines, ctx, dm, dv, out)
         _emit_flags(lines, ctx, out)
@@ -457,7 +534,7 @@ def _emit_instruction(lines, ctx, inst):
                                  " -%s // %d"
                                  % (out, dst, mag, dst, dst, mag))
                 if mag == 1:  # -2**31 / -1 is the one overflow
-                    lines.append(_WRAP % {"v": out})
+                    lines.extend(_wrap(out))
         else:
             lines.append("if %s == 0: %s" % (src, ctx.bail()))  # fpe
             # floored-to-truncated correction: one %% plus a branch,
@@ -472,7 +549,7 @@ def _emit_instruction(lines, ctx, inst):
                 lines.append("if q < 0 and %s %% %s: q += 1"
                              % (dst, src))
                 lines.append("%s = q" % out)
-                lines.append(_WRAP % {"v": out})
+                lines.extend(_wrap(out))
         if not direct:
             _emit_store(lines, ctx, dm, dv, out)
         _emit_flags(lines, ctx, out)
@@ -490,7 +567,7 @@ def _emit_instruction(lines, ctx, inst):
         else:
             lines.append("%s = ((%s & 4294967295) >> (%s & 31)) & 255"
                          % (out, dst, src))
-        lines.append(_WRAP % {"v": out})
+        lines.extend(_wrap(out))
         if not direct:
             _emit_store(lines, ctx, dm, dv, out)
         _emit_flags(lines, ctx, out)
@@ -500,7 +577,7 @@ def _emit_instruction(lines, ctx, inst):
         out, direct = _alu_out(ctx, dm, dv)
         lines.append("%s = %s(%s)" % (out, "~" if opcode == Op.NOT
                                       else "-", dst))
-        lines.append(_WRAP % {"v": out})
+        lines.extend(_wrap(out))
         if not direct:
             _emit_store(lines, ctx, dm, dv, out)
         _emit_flags(lines, ctx, out)
@@ -511,7 +588,7 @@ def _emit_instruction(lines, ctx, inst):
         dst = _emit_value(lines, ctx, dm, dv, "v2")
         if ctx.flags_live:  # dead flags leave only the operand guards
             lines.append("v2 = %s - %s" % (dst, src))
-            lines.append(_WRAP % {"v": "v2"})
+            lines.extend(_wrap("v2", _delta(Op.SUB, sm, s)))
             _emit_flags(lines, ctx, "v2")
         return False
     if opcode == Op.TST:
@@ -523,10 +600,11 @@ def _emit_instruction(lines, ctx, inst):
         static = s if sm in _STATIC else None
         target = _target_expr(ctx, sm, s)
         if opcode == Op.BRA:
-            lines.append(ctx.transfer(n + 1, static, target))
+            lines.extend(ctx.transfer(n + 1, static, target))
             return True
-        lines.append("if %s: %s" % (_COND[opcode],
-                                    ctx.transfer(n + 1, static, target)))
+        lines.append("if %s:" % _COND[opcode])
+        lines.extend("    " + line
+                     for line in ctx.transfer(n + 1, static, target))
         return False  # fall through, keep compiling
 
     if opcode == Op.JSR:
@@ -544,7 +622,7 @@ def _emit_instruction(lines, ctx, inst):
         lines.append("mem[t:t + 4] = %r" % ret)
         _emit_dirty(lines, "t", 4)
         lines.append("%s = t" % ctx.al(7))
-        lines.append(ctx.transfer(n + 1, static, target))
+        lines.extend(ctx.transfer(n + 1, static, target))
         return True
     if opcode == Op.RTS:
         lines.append("t = %s" % ctx.a(7))
@@ -690,6 +768,23 @@ def _flag_liveness(insts, lazy=False):
 # -- trace assembly ----------------------------------------------------------
 
 
+def _inlinable(members, loop_heads, arm, tpc):
+    """Does a transfer to ``tpc`` from the arm of ``arm`` inline a copy
+    of that block?  Only small member blocks that head no loop."""
+    ir = members.get(tpc)
+    return (ir is not None and tpc != arm and tpc not in loop_heads
+            and len(ir.insts) <= TAIL_DUP_MAX)
+
+
+def _reenters(ir, members, loop_heads):
+    """Does the arm of member block ``ir`` transfer back to its own
+    head, directly or from the copy of a successor it inlines?  Such an
+    arm runs as an inner loop."""
+    return ir.pc in ir.targets or any(
+        ir.pc in members[tpc].targets for tpc in ir.targets
+        if _inlinable(members, loop_heads, ir.pc, tpc))
+
+
 def compile_trace(model, image, entry, lazy=False):
     """Compile the trace rooted at ``entry``.
 
@@ -722,12 +817,14 @@ def compile_trace(model, image, entry, lazy=False):
             continue  # exit edge: CPU._run dispatches it separately
         order.append(ir)
         frontier.extend(ir.targets)
-    heads = frozenset(ir.pc for ir in order)
-    # the dispatcher walks its arms linearly, so put loop heads (blocks
-    # reached by a back edge) first: they dominate the dynamic count
-    loop_heads = {tpc for ir in order for tpc in ir.targets
-                  if tpc in heads and tpc <= ir.pc}
-    order.sort(key=lambda ir: ir.pc not in loop_heads)
+    members = {ir.pc: ir for ir in order}
+    # loop heads: self-loops, then, in discovery order (entry first),
+    # each block whose arm would re-enter it through an inlined copy
+    loop_heads = {ir.pc for ir in order if ir.pc in ir.targets}
+    for ir in order:
+        if _reenters(ir, members, loop_heads):
+            loop_heads.add(ir.pc)
+    loop_heads = frozenset(loop_heads)
 
     dused, aused = set(), set()
     dwritten, awritten = set(), set()
@@ -743,30 +840,35 @@ def compile_trace(model, image, entry, lazy=False):
     spill = "; ".join(parts) + ("; " if parts else "")
 
     ctx = _Ctx(image.text_base + image.text_size, image.mem_size,
-               dmap, amap, heads, spill, lazy)
+               dmap, amap, spill, lazy, entry, members, loop_heads)
+    # emit the arms some transfer can dispatch to (a block reached
+    # only through inlined copies needs none)
+    arms = {}
+    todo = [entry]
+    while todo:
+        pc = todo.pop()
+        if pc in arms:
+            continue
+        ctx.arm, ctx.inline, ctx.dispatched = pc, True, []
+        ctx.loop = _reenters(members[pc], members, loop_heads)
+        arms[pc] = (ctx.loop, ctx.block(members[pc]))
+        todo.extend(ctx.dispatched)
+    # the dispatcher walks its arms linearly: loop arms first
+    rank = {ir.pc: index for index, ir in enumerate(order)}
     body = []
-    ndecoded = 0
-    for index, ir in enumerate(order):
+    for index, pc in enumerate(sorted(
+            arms, key=lambda pc: (not arms[pc][0], rank[pc]))):
+        loop, lines = arms[pc]
         body.append("        %s _pc == %d:"
-                    % ("if" if index == 0 else "elif", ir.pc))
-        # one budget guard per block; re-reaching the entry head with
-        # zero progress bails so the interpreter runs the quantum tail
-        sig = "(0 if _n else 3)" if ir.pc == entry else "0"
-        body.append("            if budget - _n < %d: %sreturn _n, %d,"
-                    " zf, nf, %s" % (len(ir.insts), spill, ir.pc, sig))
-        lines = []
-        live = _flag_liveness(ir.insts, lazy)
-        for i, (pc, inst) in enumerate(ir.insts):
-            ctx.n, ctx.pc = i, pc
-            ctx.flags_live = live[i]
-            _emit_instruction(lines, ctx, inst)
-        if not ir.terminated:
-            lines.append(ctx.transfer(len(ir.insts), ir.end_pc,
-                                      "%d" % ir.end_pc))
-        body.extend("            " + line for line in lines)
-        ndecoded += len(ir.insts)
+                    % ("if" if index == 0 else "elif", pc))
+        indent = "            "
+        if loop:
+            body.append(indent + "while 1:")
+            indent += "    "
+        body.extend(indent + line for line in lines)
     body.append("        else:")
     body.append("            %sreturn _n, _pc, zf, nf, 0" % spill)
+    ndecoded = sum(len(ir.insts) for ir in order)
 
     head = ["def _trace(d, a, mem, dp, lp, budget, zf, nf, "
             "_fb=int.from_bytes):"]

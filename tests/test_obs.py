@@ -5,7 +5,7 @@ recovery traces is asserted where those scenarios already run
 (tests/test_faults.py, tests/test_recovery.py); here the layer itself
 is exercised: category filtering, the migration-phase timeline, the
 metrics registry, the guest-visible surface (``trace_status``,
-``migstat``) and the legacy ``Network.trace`` shim.
+``migstat``) and the network's ``net.msg``/``net.sock`` events.
 """
 
 import json
@@ -187,32 +187,34 @@ def test_vmcache_pseudo_call_and_footers(engine):
                for l in top.splitlines()), top
 
 
-# -- the legacy Network.trace shim -----------------------------------------
+# -- network events ---------------------------------------------------------
 
 
-def test_legacy_network_trace_list_still_works():
+def test_network_tracer_events_record_messages_and_sockets():
+    """Every delivered message is one ``net.msg`` event (endpoints,
+    size, arrival time) and every socket one ``net.sock`` event (its
+    id), and they account for the network's own counters."""
     site = MigrationSite()
-    legacy = []
-    site.cluster.network.trace = legacy  # the pre-Tracer API
     site.cluster.tracer.enable("net.msg", "net.sock")
     site.run_quiet()
     handle = start_counter(site)
     mh = site.migrate(handle.pid, "brick", "schooner", uid=100)
     assert mh.exit_status == 0  # rsh traffic crossed the network
     site.run_quiet()
-    assert site.cluster.network.trace is legacy
-    msgs = [t for t in legacy if t[0] == "msg"]
-    socks = [t for t in legacy if t[0] == "sock"]
-    assert msgs and socks
-    # the tracer saw the same moments
+    net = site.cluster.network
     events = site.cluster.tracer.events
-    assert len([e for e in events if e["cat"] == "net.msg"]) \
-        == len(msgs)
-    assert len([e for e in events if e["cat"] == "net.sock"]) \
-        == len(socks)
-    # and the tuples carry the historical shape
-    assert all(len(t) == 5 for t in msgs)
-    assert all(len(t) == 3 for t in socks)
+    msgs = [e for e in events if e["cat"] == "net.msg"]
+    socks = [e for e in events if e["cat"] == "net.sock"]
+    assert msgs and socks
+    assert len(msgs) == net.messages_sent
+    assert sum(e["nbytes"] for e in msgs) == net.bytes_moved
+    hosts = set(site.cluster.machines)
+    assert all(e["name"] == "deliver" and e["host"] in hosts
+               and e["dst"] in hosts and e["arrival_us"] >= e["ts"]
+               for e in msgs)
+    ids = [e["sock"] for e in socks]
+    assert all(e["name"] == "create" for e in socks)
+    assert ids == sorted(ids) and len(set(ids)) == len(ids)
 
 
 # -- the metrics registry --------------------------------------------------

@@ -45,13 +45,18 @@ DATA_BASE = CODE_END + 64
 
 REG = st.integers(0, 7)
 
+#: the int32 bounds and their neighbours, where one-sided wraps fire
+INT32_EDGES = [2 ** 31 - 1, 2 ** 31 - 2, -(2 ** 31), -(2 ** 31) + 1]
+
 #: immediates: small arithmetic values, addresses in the data window,
-#: clearly-invalid addresses — never inside the code window
+#: clearly-invalid addresses, the constants that push a value across
+#: an int32 bound — never inside the code window
 IMM = st.one_of(
     st.integers(-64, 64),
     st.integers(DATA_BASE, MEM_SIZE - 4),
     st.sampled_from([-16, 0, MEM_SIZE - 2, MEM_SIZE - 1,
                      MEM_SIZE + 64, 2 ** 20, -(2 ** 20)]),
+    st.sampled_from([1, -1, 2 ** 31 - 1, -(2 ** 31)]),
 )
 
 #: absolute operands: same spread (reads from low memory are legal,
@@ -121,7 +126,8 @@ def _program(draw, hot=()):
 DREGS = st.lists(st.one_of(st.integers(-100, 100),
                            st.integers(-(2 ** 31), 2 ** 31 - 1)
                            .filter(lambda v: not
-                                   TEXT_BASE - 256 <= v <= CODE_END)),
+                                   TEXT_BASE - 256 <= v <= CODE_END),
+                           st.sampled_from(INT32_EDGES)),
                  min_size=8, max_size=8)
 AREGS = st.lists(st.integers(DATA_BASE + 256, MEM_SIZE - 256),
                  min_size=8, max_size=8)
@@ -240,6 +246,104 @@ def test_linked_loop_matches_interpreter_chunked():
     addrs = [DATA_BASE + 1024] * 8
     _run_differential(text, zeros, addrs, MC68010, [7, 13, 11],
                       cap=5000)
+
+
+def _split_loop_text(iterations):
+    """A cpuhog-shaped loop: the head block's ``bne`` jumps mid-body to
+    a ``cmp``/``blt`` tail block that closes the loop; the fall-through
+    calls a subroutine every fourth iteration."""
+    loop = TEXT_BASE
+    tail = loop + 11 * ISIZE
+    sub = tail + 3 * ISIZE
+    return b"".join([
+        isa.encode(Op.ADD, Mode.IMM, 1, Mode.DREG, 7),
+        isa.encode(Op.MOVE, Mode.DREG, 7, Mode.DREG, 5),
+        isa.encode(Op.MUL, Mode.IMM, 7, Mode.DREG, 5),
+        isa.encode(Op.ADD, Mode.IMM, 3, Mode.DREG, 5),
+        isa.encode(Op.MOD, Mode.IMM, 123, Mode.DREG, 5),
+        isa.encode(Op.ADD, Mode.DREG, 5, Mode.ABS, DATA_BASE),
+        isa.encode(Op.MOVE, Mode.DREG, 7, Mode.DREG, 5),
+        isa.encode(Op.MOD, Mode.IMM, 4, Mode.DREG, 5),
+        isa.encode(Op.TST, 0, 0, Mode.DREG, 5),
+        isa.encode(Op.BNE, Mode.IMM, tail),
+        isa.encode(Op.JSR, Mode.IMM, sub),
+        # tail:
+        isa.encode(Op.CMP, Mode.IMM, iterations, Mode.DREG, 7),
+        isa.encode(Op.BLT, Mode.IMM, loop),
+        isa.encode(Op.TRAP),
+        # sub:
+        isa.encode(Op.ADD, Mode.IMM, 1, Mode.ABS, DATA_BASE + 4),
+        isa.encode(Op.RTS),
+    ])
+
+
+def test_split_loop_matches_interpreter_at_every_budget():
+    """The loop-arm and tail-duplication shape: the head block's arm
+    runs as an inner loop whose back edge sits in the inlined copy of
+    the tail block.  Every budget from 1 to three loop lengths stops
+    the trace at a different guard (the head's, the inlined tail's,
+    mid-call), and each must hand back exactly the interpreter's
+    registers, flags, pc, executed count, memory and dirty pages."""
+    loop_len = 12  # add … bne, cmp, blt (the call-free iteration)
+    text = _split_loop_text(20)
+    addrs = [DATA_BASE + 1024] * 8
+    for budget in range(1, 3 * loop_len + 1):
+        _run_differential(text, [0] * 8, addrs, MC68010, [budget],
+                          cap=5000)
+
+
+def test_cpuhog_loop_compiles_to_an_inner_loop_with_an_inlined_tail():
+    """The compiled ``cpuhog`` trace: ``hog_loop``'s arm is the first
+    dispatch arm and an inner ``while`` loop; the ``cmp``/``blt`` block
+    at ``hog_next`` is inlined into it under its own budget guard, and
+    its back edge to ``hog_loop`` is a ``continue``."""
+    from repro.programs.guest.cpuhog import BODY, DATA
+    from repro.programs.guest.libasm import program
+    from repro.vm.predecode import compile_trace
+    out = program(BODY, DATA)
+    image = ProcessImage(mem_size=256 * 1024)
+    image.text_size = len(out.text)
+    image.write_bytes(TEXT_BASE, out.text)
+    image.write_bytes(TEXT_BASE + len(out.text), out.data)
+    loop, tail = out.symbols["hog_loop"], out.symbols["hog_next"]
+    trace, __, __ = compile_trace(MC68010, image, loop)
+    lines = trace.source.splitlines()
+    first = lines.index("        if _pc == %d:" % loop)
+    end = next(i for i in range(first + 1, len(lines))
+               if lines[i].startswith("        el"))
+    arm = [line.strip() for line in lines[first + 1:end]]
+    assert arm[0] == "while 1:"
+    assert "_n += 2; continue" in arm  # cmp, blt, back to the head
+    guard = [line for line in arm
+             if line.startswith("if budget - _n < ")]
+    assert len(guard) >= 2 and guard[1].startswith(
+        "if budget - _n < 4:") and guard[1].endswith(
+        "return _n, %d, zf, nf, 0" % tail)
+    # add #1 can only overflow upwards
+    assert "if rd7 > 2147483647: rd7 -= 4294967296" in arm
+
+
+def test_immediate_add_sub_cmp_wrap_at_int32_bounds():
+    """``add``/``sub``/``cmp`` by an immediate emit a one-sided wrap
+    test (none for #0): at and next to both int32 bounds, in a register
+    and at an absolute memory word, the results and flags match the
+    interpreter's two-sided wrap."""
+    addrs = [DATA_BASE + 512] * 8
+    for opcode in (Op.ADD, Op.SUB, Op.CMP):
+        for imm in (1, -1, 0, -(2 ** 31)):
+            for value in INT32_EDGES:
+                for mode, operand in ((Mode.DREG, 0),
+                                      (Mode.ABS, DATA_BASE)):
+                    text = b"".join([
+                        isa.encode(Op.MOVE, Mode.IMM, value, mode,
+                                   operand),
+                        isa.encode(opcode, Mode.IMM, imm, mode, operand),
+                        isa.encode(opcode, Mode.IMM, imm, mode, operand),
+                        isa.encode(Op.TRAP),
+                    ])
+                    for budget in (1, 2, 3, 5):
+                        _run_differential(text, [0] * 8, addrs, MC68010,
+                                          [budget])
 
 
 def test_division_and_ill_parity_under_traces():
